@@ -8,6 +8,7 @@ package anywheredb
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -195,6 +196,14 @@ func BenchmarkPointQueryIndexed(b *testing.B) {
 		}
 	}
 	conn.Exec("CREATE UNIQUE INDEX t_a ON t (a)")
+	// The benchmark times an index probe only if the plan makes one.
+	plan, err := conn.Query("EXPLAIN SELECT s FROM t WHERE a = ?", Int(7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if ops := fmt.Sprint(plan.All()); !strings.Contains(ops, "IndexScan(t.t_a)") {
+		b.Fatalf("point query does not use the index: %s", ops)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rows, err := conn.Query("SELECT s FROM t WHERE a = ?", Int(int64(i%2000)))

@@ -127,20 +127,65 @@ func isLeaf(p page.Buf) bool      { return flags(p)&flagLeaf != 0 }
 // readEntries decodes a node's cells in slot order (slot order is key
 // order by construction). Entries are copied out of the page: callers
 // rewrite the page (which zeroes it) while still holding them.
-func readEntries(p page.Buf) []entry {
+func readEntries(p page.Buf) []entry { return entriesFrom(p, 0) }
+
+// entriesFrom copies the cells of slots from..n-1 out of the page into one
+// backing buffer.
+func entriesFrom(p page.Buf, from int) []entry {
 	n := p.NumSlots()
-	es := make([]entry, 0, n)
-	for i := 0; i < n; i++ {
-		c := p.Cell(i)
-		if c != nil {
-			e := decodeEntry(c)
-			es = append(es, entry{
-				key: append([]byte(nil), e.key...),
-				val: append([]byte(nil), e.val...),
-			})
-		}
+	if from >= n {
+		return nil
+	}
+	size := 0
+	for i := from; i < n; i++ {
+		size += len(p.Cell(i))
+	}
+	buf := make([]byte, 0, size)
+	es := make([]entry, n-from)
+	for i := range es {
+		e := decodeEntry(p.Cell(from + i))
+		k := len(buf)
+		buf = append(buf, e.key...)
+		v := len(buf)
+		buf = append(buf, e.val...)
+		es[i] = entry{key: buf[k:v:v], val: buf[v:len(buf):len(buf)]}
 	}
 	return es
+}
+
+// cellKey returns slot i's key in place (no copy).
+func cellKey(p page.Buf, i int) []byte {
+	c := p.Cell(i)
+	kl, n := binary.Uvarint(c)
+	return c[n : n+int(kl)]
+}
+
+// search binary-searches a node's cells in place. Slots are dense and in
+// key order because every write goes through writeEntries. It returns the
+// first slot whose key is ≥ k, or > k when upper is set.
+func search(p page.Buf, k []byte, upper bool) int {
+	lo, hi := 0, p.NumSlots()
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c := bytes.Compare(cellKey(p, mid), k); c < 0 || (upper && c == 0) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// childAt returns the child page of an internal node that covers k. A
+// separator is the first key of its right subtree, but duplicates of it may
+// also end the left one: a lower-bound descent (upper unset) therefore
+// follows the last separator < k, an insert (upper set) the last one ≤ k.
+func childAt(p page.Buf, k []byte, upper bool) store.PageID {
+	i := search(p, k, upper)
+	if i == 0 {
+		return store.PageID(p.Next())
+	}
+	return pageIDFromBytes(decodeEntry(p.Cell(i - 1)).val)
 }
 
 // writeEntries rewrites a node with the given entries in order, preserving
@@ -215,19 +260,6 @@ func pageIDFromBytes(b []byte) store.PageID {
 	return store.PageID(binary.LittleEndian.Uint64(b))
 }
 
-// childFor finds the child page covering key in an internal node.
-func childFor(es []entry, next uint64, key []byte) store.PageID {
-	child := store.PageID(next)
-	for _, e := range es {
-		if bytes.Compare(e.key, key) <= 0 {
-			child = pageIDFromBytes(e.val)
-		} else {
-			break
-		}
-	}
-	return child
-}
-
 func (t *Tree) insertAt(id store.PageID, key, value []byte) (*splitResult, error) {
 	f, err := t.pool.Get(id)
 	if err != nil {
@@ -236,8 +268,7 @@ func (t *Tree) insertAt(id store.PageID, key, value []byte) (*splitResult, error
 	f.Lock()
 	leaf := isLeaf(f.Data)
 	if !leaf {
-		es := readEntries(f.Data)
-		child := childFor(es, f.Data.Next(), key)
+		child := childAt(f.Data, key, true)
 		f.Unlock()
 		t.pool.Unpin(f, false)
 		split, err := t.insertAt(child, key, value)
@@ -250,7 +281,7 @@ func (t *Tree) insertAt(id store.PageID, key, value []byte) (*splitResult, error
 			return nil, err
 		}
 		f.Lock()
-		es = readEntries(f.Data)
+		es := readEntries(f.Data)
 		sep := entry{key: split.sepKey, val: pageIDBytes(split.right)}
 		es = insertSorted(es, sep)
 		res, err := t.writeMaybeSplit(f, es, false)
@@ -386,40 +417,44 @@ func (t *Tree) Delete(key, value []byte) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	id := t.root
-	// Descend to the leaf.
-	for {
+	for id != 0 {
 		f, err := t.pool.Get(id)
 		if err != nil {
 			return false, err
 		}
 		f.Lock()
-		if isLeaf(f.Data) {
-			es := readEntries(f.Data)
-			for i, e := range es {
-				if bytes.Equal(e.key, key) && (value == nil || bytes.Equal(e.val, value)) {
-					es = append(es[:i], es[i+1:]...)
-					err := writeEntries(f.Data, es)
-					f.Unlock()
-					t.pool.Unpin(f, true)
-					if err == nil {
-						t.Stats.Entries.Add(-1)
-					}
-					return true, err
-				}
-				if bytes.Compare(e.key, key) > 0 {
-					break
-				}
-			}
+		if !isLeaf(f.Data) {
+			id = childAt(f.Data, key, false)
 			f.Unlock()
 			t.pool.Unpin(f, false)
-			return false, nil
+			continue
 		}
-		es := readEntries(f.Data)
-		next := childFor(es, f.Data.Next(), key)
+		// Duplicates of key may run on into the next leaves: walk the
+		// chain until the value matches or the key changes.
+		n := f.Data.NumSlots()
+		for i := search(f.Data, key, false); i < n; i++ {
+			e := decodeEntry(f.Data.Cell(i))
+			if !bytes.Equal(e.key, key) {
+				f.Unlock()
+				t.pool.Unpin(f, false)
+				return false, nil
+			}
+			if value == nil || bytes.Equal(e.val, value) {
+				es := readEntries(f.Data)
+				err := writeEntries(f.Data, append(es[:i], es[i+1:]...))
+				f.Unlock()
+				t.pool.Unpin(f, true)
+				if err == nil {
+					t.Stats.Entries.Add(-1)
+				}
+				return true, err
+			}
+		}
+		id = store.PageID(f.Data.Next())
 		f.Unlock()
 		t.pool.Unpin(f, false)
-		id = next
 	}
+	return false, nil
 }
 
 // Search returns the value of the first entry with exactly this key.
@@ -456,21 +491,14 @@ func (t *Tree) Seek(k []byte) (*Iterator, error) {
 		}
 		f.RLock()
 		if isLeaf(f.Data) {
-			es := readEntries(f.Data)
-			// First entry >= k (lower bound).
-			pos := 0
-			for pos < len(es) && bytes.Compare(es[pos].key, k) < 0 {
-				pos++
-			}
-			it := &Iterator{t: t, frame: f, entries: copyEntries(es), pos: pos}
+			it := &Iterator{t: t, frame: f, entries: entriesFrom(f.Data, search(f.Data, k, false))}
 			f.RUnlock()
-			if pos >= len(es) {
+			if len(it.entries) == 0 {
 				it.advancePage()
 			}
 			return it, nil
 		}
-		es := readEntries(f.Data)
-		next := childFor(es, f.Data.Next(), k)
+		next := childAt(f.Data, k, false)
 		f.RUnlock()
 		t.pool.Unpin(f, false)
 		id = next
@@ -479,14 +507,6 @@ func (t *Tree) Seek(k []byte) (*Iterator, error) {
 
 // First positions an iterator at the smallest key.
 func (t *Tree) First() (*Iterator, error) { return t.Seek(nil) }
-
-func copyEntries(es []entry) []entry {
-	out := make([]entry, len(es))
-	for i, e := range es {
-		out[i] = entry{key: append([]byte(nil), e.key...), val: append([]byte(nil), e.val...)}
-	}
-	return out
-}
 
 // Valid reports whether the iterator is positioned on an entry.
 func (it *Iterator) Valid() bool { return it.err == nil && it.frame != nil && it.pos < len(it.entries) }
@@ -528,7 +548,7 @@ func (it *Iterator) advancePage() {
 			return
 		}
 		f.RLock()
-		es := copyEntries(readEntries(f.Data))
+		es := readEntries(f.Data)
 		f.RUnlock()
 		it.frame = f
 		it.entries = es

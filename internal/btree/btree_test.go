@@ -332,3 +332,208 @@ func TestQuickAgainstReference(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// kv is one entry of the sorted reference model.
+type kv struct{ key, val []byte }
+
+// leafKeys walks the leaf chain from the leftmost leaf and returns, for
+// every non-empty leaf, its first and last key, plus the number of empty
+// leaves passed on the way.
+func leafKeys(t *testing.T, tr *Tree) (bounds [][]byte, empty int) {
+	t.Helper()
+	id := tr.Root()
+	for {
+		f, err := tr.pool.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf, next := isLeaf(f.Data), store.PageID(f.Data.Next())
+		tr.pool.Unpin(f, false)
+		if leaf {
+			break
+		}
+		id = next
+	}
+	for id != 0 {
+		f, err := tr.pool.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := f.Data.NumSlots(); n == 0 {
+			empty++
+		} else {
+			bounds = append(bounds,
+				append([]byte(nil), cellKey(f.Data, 0)...),
+				append([]byte(nil), cellKey(f.Data, n-1)...))
+		}
+		id = store.PageID(f.Data.Next())
+		tr.pool.Unpin(f, false)
+	}
+	return bounds, empty
+}
+
+// TestSeekAgainstModel drives seeded trees of height ≥ 3 through inserts
+// with runs of duplicate keys long enough to span leaves, and deletes that
+// empty whole leaves. Every Seek must land where a linear lower bound over
+// a sorted model lands, and a full scan must return the model's order
+// (duplicates in insertion order).
+func TestSeekAgainstModel(t *testing.T) {
+	// Wide keys lower the fanout, so a few thousand entries make three
+	// levels.
+	pad := bytes.Repeat([]byte{'p'}, 80)
+	wide := func(i int) []byte { return append([]byte(fmt.Sprintf("key-%06d-", i)), pad...) }
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			tr, _, _ := newTree(t, 1024)
+			var model []kv
+			lowerBound := func(key []byte) int {
+				i := 0
+				for i < len(model) && bytes.Compare(model[i].key, key) < 0 {
+					i++
+				}
+				return i
+			}
+			seq := 0
+			insert := func(key []byte) {
+				seq++
+				e := kv{key, v(seq)}
+				if err := tr.Insert(e.key, e.val); err != nil {
+					t.Fatal(err)
+				}
+				i := lowerBound(key)
+				for i < len(model) && bytes.Equal(model[i].key, key) {
+					i++
+				}
+				model = append(model, kv{})
+				copy(model[i+1:], model[i:])
+				model[i] = e
+			}
+			remove := func(i int, byValue bool) {
+				var val []byte
+				if byValue {
+					val = model[i].val
+				}
+				ok, err := tr.Delete(model[i].key, val)
+				if err != nil || !ok {
+					t.Fatalf("delete %q: ok=%v err=%v", model[i].key, ok, err)
+				}
+				model = append(model[:i], model[i+1:]...)
+			}
+
+			for n := 0; n < 3000; n++ {
+				switch r := rng.Intn(10); {
+				case r < 2:
+					insert(wide(300)) // one hot key: hundreds of duplicates
+				default:
+					insert(wide(rng.Intn(600)))
+				}
+			}
+			if h := tr.Stats.Height.Load(); h < 3 {
+				t.Fatalf("height %d, want ≥ 3", h)
+			}
+			// Empty a stretch of leaves, then delete at random: by key and
+			// value, and by key alone (the first duplicate goes).
+			for i := lowerBound(wide(100)); i < len(model) && bytes.Compare(model[i].key, wide(250)) < 0; {
+				remove(rng.Intn(lowerBound(wide(250))-i)+i, true)
+			}
+			for n := 0; n < 400; n++ {
+				i := rng.Intn(len(model))
+				if rng.Intn(2) == 0 {
+					i = lowerBound(model[i].key)
+					remove(i, false)
+				} else {
+					remove(i, true)
+				}
+			}
+			bounds, empty := leafKeys(t, tr)
+			if empty == 0 {
+				t.Fatal("no leaf was emptied")
+			}
+			if got := tr.Stats.Entries.Load(); got != int64(len(model)) {
+				t.Fatalf("entries stat %d, model %d", got, len(model))
+			}
+
+			// Full scan against the model.
+			it, err := tr.First()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, e := range model {
+				if !it.Valid() || !bytes.Equal(it.Key(), e.key) || !bytes.Equal(it.Value(), e.val) {
+					t.Fatalf("scan entry %d differs from the model", i)
+				}
+				it.Next()
+			}
+			if it.Valid() {
+				t.Fatal("scan runs past the model")
+			}
+			it.Close()
+
+			// Seeks: before the first key, after the last, on and between
+			// every key present and deleted, and on and just past each
+			// leaf's first and last key.
+			probes := [][]byte{nil, []byte("a"), []byte("zzz")}
+			for i := 0; i < 620; i++ {
+				probes = append(probes, wide(i), append(wide(i), 0))
+			}
+			for _, b := range bounds {
+				probes = append(probes, b, append(append([]byte(nil), b...), 0))
+			}
+			for _, p := range probes {
+				it, err := tr.Seek(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := lowerBound(p); i < len(model) && i < lowerBound(p)+20; i++ {
+					if !it.Valid() || !bytes.Equal(it.Key(), model[i].key) || !bytes.Equal(it.Value(), model[i].val) {
+						t.Fatalf("seek %q: entry %d differs from the model", p, i)
+					}
+					it.Next()
+				}
+				if lowerBound(p) == len(model) && it.Valid() {
+					t.Fatalf("seek %q past the last key is valid", p)
+				}
+				it.Close()
+			}
+		})
+	}
+}
+
+// BenchmarkBTreeSeek times one point seek into a 5,000-entry tree of
+// 9-byte keys (an encoded INT) and 8-byte values (a RID), the shape of a
+// unique index probe, including the copy of the rest of the leaf.
+func BenchmarkBTreeSeek(b *testing.B) {
+	st, err := store.Open(store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	pool := buffer.New(st, 4, 256, 256)
+	tr, err := Create(pool, st, store.MainFile, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := func(i int) []byte {
+		var k [9]byte
+		k[0] = 1
+		binary.BigEndian.PutUint64(k[1:], uint64(i))
+		return k[:]
+	}
+	const n = 5000
+	for _, i := range rand.New(rand.NewSource(1)).Perm(n) {
+		if err := tr.Insert(key(i), v(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	probes := rand.New(rand.NewSource(2)).Perm(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		it, err := tr.Seek(key(probes[i%n]))
+		if err != nil || !it.Valid() {
+			b.Fatalf("seek %d: err=%v", probes[i%n], err)
+		}
+		it.Close()
+	}
+}

@@ -8,6 +8,7 @@ package opt
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"anywheredb/internal/sqlparse"
@@ -86,6 +87,10 @@ type Query struct {
 	binder  *binder
 	Net     map[int]map[int]bool // equijoin connectivity graph
 	Catalog Resolver
+	// Params are the statement's ? values. A bound parameter is a constant
+	// for the one execution the plan is built for, so sargability and
+	// histogram estimation treat it exactly like a literal.
+	Params []val.Value
 
 	// Memoized estimates: join histograms and local cardinalities are
 	// stable for the duration of one optimization, and the enumerator
@@ -428,8 +433,8 @@ func (q *Query) Selectivity(cj *Conjunct) float64 {
 		return 0.05
 	case *sqlparse.Between:
 		if col, ok := singleCol(q, x.E); ok {
-			lo, lok := litOf(x.Lo)
-			hi, hok := litOf(x.Hi)
+			lo, lok := q.constOf(x.Lo)
+			hi, hok := q.constOf(x.Hi)
 			if lok && hok {
 				if h := q.histOf(col); h != nil {
 					s := h.SelRange(&lo, &hi, true, true)
@@ -443,7 +448,7 @@ func (q *Query) Selectivity(cj *Conjunct) float64 {
 		return 0.1
 	case *sqlparse.Like:
 		if col, ok := singleCol(q, x.E); ok {
-			if pat, pok := litOf(x.Pattern); pok {
+			if pat, pok := q.constOf(x.Pattern); pok && pat.Kind == val.KStr {
 				if ss := q.strStatsOf(col); ss != nil {
 					if s, found := ss.EstimateLike(pat.S); found {
 						if x.Neg {
@@ -460,7 +465,7 @@ func (q *Query) Selectivity(cj *Conjunct) float64 {
 			if h := q.histOf(col); h != nil {
 				s := 0.0
 				for _, le := range x.List {
-					if lit, lok := litOf(le); lok {
+					if lit, lok := q.constOf(le); lok {
 						s += h.SelEq(lit)
 					}
 				}
@@ -492,33 +497,52 @@ func singleCol(q *Query, e sqlparse.Expr) (colRefID, bool) {
 	return colRefID{qi, ci}, true
 }
 
-func litOf(e sqlparse.Expr) (val.Value, bool) {
+// constOf resolves e to a value known when the plan is built: a literal, a
+// bound ? parameter, or the negation of a numeric one. NULL does not count:
+// a comparison with NULL is never true, so it must be neither sargable nor
+// consumed by an index probe, nor fed back into a histogram. Nor does NaN,
+// which val.Compare finds equal to every number.
+func (q *Query) constOf(e sqlparse.Expr) (val.Value, bool) {
+	var v val.Value
 	switch x := e.(type) {
 	case *sqlparse.Lit:
-		return x.Val, true
-	case *sqlparse.UnOp:
-		if x.Op == "-" {
-			if v, ok := litOf(x.E); ok {
-				if v.Kind == val.KInt {
-					return val.NewInt(-v.I), true
-				}
-				return val.NewDouble(-v.AsFloat()), true
-			}
+		v = x.Val
+	case *sqlparse.Param:
+		if x.Idx < 1 || x.Idx > len(q.Params) {
+			return val.Null, false
 		}
+		v = q.Params[x.Idx-1]
+	case *sqlparse.UnOp:
+		if x.Op != "-" {
+			return val.Null, false
+		}
+		inner, ok := q.constOf(x.E)
+		switch {
+		case !ok:
+			return val.Null, false
+		case inner.Kind == val.KInt:
+			v = val.NewInt(-inner.I)
+		case inner.Kind == val.KDouble:
+			v = val.NewDouble(-inner.F)
+		default:
+			return val.Null, false
+		}
+	default:
+		return val.Null, false
 	}
-	return val.Null, false
+	return v, !v.IsNull() && !(v.Kind == val.KDouble && math.IsNaN(v.F))
 }
 
-// colOpLit matches col <op> literal (either orientation, normalizing the
-// operator).
+// colOpLit matches col <op> constant (either orientation, normalizing the
+// operator), where the constant is a literal or a bound parameter.
 func colOpLit(q *Query, b *sqlparse.BinOp) (colRefID, val.Value, string, bool) {
 	if col, ok := singleCol(q, b.L); ok {
-		if lit, lok := litOf(b.R); lok {
+		if lit, lok := q.constOf(b.R); lok {
 			return col, lit, b.Op, true
 		}
 	}
 	if col, ok := singleCol(q, b.R); ok {
-		if lit, lok := litOf(b.L); lok {
+		if lit, lok := q.constOf(b.L); lok {
 			return col, lit, flipOp(b.Op), true
 		}
 	}

@@ -261,6 +261,7 @@ func buildSingle(sel *sqlparse.Select, benv *BuildEnv, ctes map[string]*Material
 	if err != nil {
 		return nil, err
 	}
+	q.Params = benv.Params
 	b.q = q
 
 	res, err := Enumerate(q, benv.Env)
@@ -278,6 +279,7 @@ func buildSingleForced(sel *sqlparse.Select, benv *BuildEnv, ctes map[string]*Ma
 	if err != nil {
 		return nil, err
 	}
+	q.Params = benv.Params
 	b.q = q
 	if len(order) != len(q.Quants) {
 		return nil, fmt.Errorf("opt: cached order covers %d of %d quantifiers", len(order), len(q.Quants))
@@ -420,7 +422,7 @@ func (b *blockBuilder) buildPipeline(order []Step, plan *Plan) (exec.Operator, e
 		width := len(qt.Columns())
 
 		if stepIdx == 0 {
-			acc, err := b.accessOp(st, true)
+			acc, err := b.accessOp(st)
 			if err != nil {
 				return nil, err
 			}
@@ -511,47 +513,46 @@ func (b *blockBuilder) width() int {
 // accessOp builds the access operator for one quantifier including its
 // local predicates (with feedback observers wired to the self-managing
 // histograms).
-func (b *blockBuilder) accessOp(st Step, isFirst bool) (exec.Operator, error) {
+func (b *blockBuilder) accessOp(st Step) (exec.Operator, error) {
 	q := b.q
 	qt := q.Quants[st.Quant]
 	localLayout := []int{st.Quant}
 	localOffsets := map[int]int{st.Quant: 0}
 
+	// An index range on the leading column of the chosen index, when its
+	// predicates are sargable for this execution's values.
+	var kr keyRange
+	indexed := false
+	if qt.Table != nil && st.Index != nil && st.Method == MethodScan {
+		kr, indexed = q.keyRange(st.Quant, st.Index.Cols[0])
+	}
 	var op exec.Operator
-	usedIndexEq := false
-	var usedIndexConj *Conjunct
-	if qt.Table == nil {
+	switch {
+	case qt.Table == nil:
 		op = &exec.Materialized{RowsData: qt.Rows}
-	} else if st.Index != nil && st.Method == MethodScan {
-		// Sargable equality on the index prefix.
-		for _, cj := range q.LocalConjunctsOf(st.Quant, true) {
-			col, lit, opName, ok := colOpLitConj(q, cj)
-			if !ok || opName != "=" || col.C != st.Index.Cols[0] {
-				continue
-			}
-			key := val.EncodeKey([]val.Value{lit})
-			op = &exec.IndexScan{Table: qt.Table, Index: st.Index, Lo: key, Hi: key, HiInc: true}
-			usedIndexEq = true
-			usedIndexConj = cj
-			break
-		}
-		if op == nil {
-			op = b.tableScanOp(st)
-		}
-	} else {
+	case indexed:
+		op = kr.indexScan(qt.Table, st.Index)
+	default:
 		op = b.tableScanOp(st)
 	}
 
-	// Residual local predicates.
+	// Residual local predicates. The equality an index probe answers is
+	// consumed. Above an index range, a conjunct on the range's column sees
+	// only rows the index already selected; its feedback would drag that
+	// column's histogram toward selectivity 1, so it gets no observer.
+	noObs := colRefID{-1, -1}
+	if indexed {
+		noObs = kr.col
+	}
 	for _, cj := range q.LocalConjunctsOf(st.Quant, true) {
-		if usedIndexEq && cj == usedIndexConj {
+		if indexed && cj == kr.eq {
 			continue
 		}
 		p, err := b.compilePredWithLayout(cj.Expr, localLayout, localOffsets)
 		if err != nil {
 			return nil, err
 		}
-		op = &exec.Filter{Input: op, Pred: p, Obs: b.observerFor(cj)}
+		op = &exec.Filter{Input: op, Pred: p, Obs: b.observerFor(cj, noObs)}
 	}
 	return op, nil
 }
@@ -589,13 +590,13 @@ func (b *blockBuilder) tableScanOp(st Step) exec.Operator {
 
 // observerFor wires execution feedback into the histogram of the predicate
 // column (§3.2: evaluation of almost any predicate over a base column can
-// update its histogram).
-func (b *blockBuilder) observerFor(cj *Conjunct) exec.Observer {
+// update its histogram). A conjunct on column skip gets no observer.
+func (b *blockBuilder) observerFor(cj *Conjunct, skip colRefID) exec.Observer {
 	q := b.q
 	switch x := cj.Expr.(type) {
 	case *sqlparse.BinOp:
 		col, lit, op, ok := colOpLit(q, x)
-		if !ok {
+		if !ok || col == skip {
 			return nil
 		}
 		h := q.histOf(col)
@@ -617,11 +618,11 @@ func (b *blockBuilder) observerFor(cj *Conjunct) exec.Observer {
 		}
 	case *sqlparse.Between:
 		col, ok := singleCol(q, x.E)
-		if !ok || x.Neg {
+		if !ok || x.Neg || col == skip {
 			return nil
 		}
-		lo, lok := litOf(x.Lo)
-		hi, hok := litOf(x.Hi)
+		lo, lok := q.constOf(x.Lo)
+		hi, hok := q.constOf(x.Hi)
 		if !lok || !hok {
 			return nil
 		}
@@ -632,11 +633,11 @@ func (b *blockBuilder) observerFor(cj *Conjunct) exec.Observer {
 		return func(m, n float64) { h.ObserveRange(&lo, &hi, true, true, m, n) }
 	case *sqlparse.Like:
 		col, ok := singleCol(q, x.E)
-		if !ok || x.Neg {
+		if !ok || x.Neg || col == skip {
 			return nil
 		}
-		pat, pok := litOf(x.Pattern)
-		if !pok {
+		pat, pok := q.constOf(x.Pattern)
+		if !pok || pat.Kind != val.KStr {
 			return nil
 		}
 		ss := q.strStatsOf(col)
@@ -687,7 +688,7 @@ func (b *blockBuilder) joinStep(acc exec.Operator, st Step, plan *Plan, depthIdx
 		if len(accKeys) == 0 {
 			return nil, fmt.Errorf("opt: hash join without keys")
 		}
-		right, err := b.accessOp(Step{Quant: st.Quant, Method: MethodScan}, false)
+		right, err := b.accessOp(Step{Quant: st.Quant, Method: MethodScan})
 		if err != nil {
 			return nil, err
 		}
@@ -759,7 +760,7 @@ func (b *blockBuilder) joinStep(acc exec.Operator, st Step, plan *Plan, depthIdx
 		}, nil
 
 	default: // MethodNLJ
-		right, err := b.accessOp(Step{Quant: st.Quant, Method: MethodScan}, false)
+		right, err := b.accessOp(Step{Quant: st.Quant, Method: MethodScan})
 		if err != nil {
 			return nil, err
 		}

@@ -211,8 +211,6 @@ type Step struct {
 	Quant  int
 	Method Method
 	Index  *table.Index // access or probe index; nil = sequential
-	// SargLo/SargHi describe the index range for first-quantifier access.
-	SargEq bool
 }
 
 // stepCost prices placing quantifier qi by the given method after an
@@ -227,7 +225,13 @@ func (e *Env) stepCost(q *Query, placed map[int]bool, leftCard float64, st Step)
 			return e.cpuCost(float64(len(qt.Rows))), math.Max(localCard, 1)
 		}
 		if st.Index != nil {
-			return e.indexProbeCost(qt.Table, st.Index, localCard), math.Max(localCard, 1)
+			// The probe fetches every row of its key range; the other
+			// local predicates filter after the fetch.
+			fetched := localCard
+			if kr, ok := q.keyRange(st.Quant, st.Index.Cols[0]); ok {
+				fetched = math.Max(qt.Cardinality()*q.keyRangeSel(kr), localCard)
+			}
+			return e.indexProbeCost(qt.Table, st.Index, fetched), math.Max(localCard, 1)
 		}
 		if qt.Table.SegmentCount() > 0 {
 			// Zone-map skipping: the local predicate's selectivity is

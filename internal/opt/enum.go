@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"anywheredb/internal/exec"
 	"anywheredb/internal/sqlparse"
 	"anywheredb/internal/table"
 	"anywheredb/internal/val"
@@ -196,7 +197,7 @@ func (e *enumerator) candidates(placed map[int]bool, prefix []Step, cost, card f
 			out = append(out, candidate{step: st, cost: cost + c, card: oc, conn: true})
 			if qt.Table != nil {
 				if ix := e.sargableIndex(qi); ix != nil {
-					st := Step{Quant: qi, Method: MethodScan, Index: ix, SargEq: true}
+					st := Step{Quant: qi, Method: MethodScan, Index: ix}
 					c, oc := e.env.stepCost(e.q, placed, card, st)
 					out = append(out, candidate{step: st, cost: cost + c, card: oc, conn: true})
 				}
@@ -271,25 +272,134 @@ func (e *enumerator) connected(placed map[int]bool, qi int) bool {
 	return false
 }
 
-// sargableIndex finds an index whose leading column carries an equality
-// local predicate of quantifier qi.
+// sargableIndex picks the index to drive quantifier qi's access path:
+// among the indexes whose leading column carries a sargable local
+// predicate, the one whose key range selects the fewest rows.
 func (e *enumerator) sargableIndex(qi int) *table.Index {
-	qt := e.q.Quants[qi]
-	if qt.Table == nil {
-		return nil
-	}
-	for _, cj := range e.q.LocalConjunctsOf(qi, true) {
-		col, _, op, ok := colOpLitConj(e.q, cj)
-		if !ok || op != "=" {
+	var best *table.Index
+	bestSel := math.Inf(1)
+	for _, ix := range e.q.Quants[qi].Table.Indexes {
+		if len(ix.Cols) == 0 {
 			continue
 		}
-		for _, ix := range qt.Table.Indexes {
-			if len(ix.Cols) > 0 && ix.Cols[0] == col.C {
-				return ix
-			}
+		kr, ok := e.q.keyRange(qi, ix.Cols[0])
+		if !ok {
+			continue
+		}
+		if s := e.q.keyRangeSel(kr); s < bestSel {
+			best, bestSel = ix, s
 		}
 	}
-	return nil
+	return best
+}
+
+// keyRange is the interval of one column that a quantifier's sargable
+// local conjuncts (col = c, col < c, col <= c, col > c, col >= c and
+// col BETWEEN c1 AND c2, with each c a literal or a bound parameter) pin
+// down together.
+type keyRange struct {
+	col          colRefID
+	lo, hi       *val.Value // nil = unbounded
+	loInc, hiInc bool
+	// eq is an equality conjunct: the probe answers it, so it is consumed.
+	// The range conjuncts stay as exact residual filters.
+	eq *Conjunct
+	// conjs are the range conjuncts intersected into [lo, hi].
+	conjs []*Conjunct
+}
+
+// keyRange intersects quantifier qi's sargable conjuncts on column col.
+// With an equality the range holds at most its one value, so the probe
+// answers the equality exactly.
+func (q *Query) keyRange(qi, col int) (keyRange, bool) {
+	kr := keyRange{col: colRefID{qi, col}}
+	for _, cj := range q.LocalConjunctsOf(qi, true) {
+		switch x := cj.Expr.(type) {
+		case *sqlparse.BinOp:
+			c, v, op, ok := colOpLit(q, x)
+			if !ok || c != kr.col {
+				continue
+			}
+			switch op {
+			case "=":
+				if kr.eq == nil {
+					kr.eq = cj
+				}
+				kr.tightenLo(v, true)
+				kr.tightenHi(v, true)
+				continue
+			case "<", "<=":
+				kr.tightenHi(v, op == "<=")
+			case ">", ">=":
+				kr.tightenLo(v, op == ">=")
+			default:
+				continue
+			}
+		case *sqlparse.Between:
+			c, ok := singleCol(q, x.E)
+			if !ok || c != kr.col || x.Neg {
+				continue
+			}
+			lo, lok := q.constOf(x.Lo)
+			hi, hok := q.constOf(x.Hi)
+			if !lok || !hok {
+				continue
+			}
+			kr.tightenLo(lo, true)
+			kr.tightenHi(hi, true)
+		default:
+			continue
+		}
+		kr.conjs = append(kr.conjs, cj)
+	}
+	return kr, kr.eq != nil || len(kr.conjs) > 0
+}
+
+func (kr *keyRange) tightenLo(v val.Value, inc bool) {
+	if kr.lo != nil {
+		if c := val.Compare(v, *kr.lo); c < 0 || (c == 0 && inc) {
+			return
+		}
+	}
+	kr.lo, kr.loInc = &v, inc
+}
+
+func (kr *keyRange) tightenHi(v val.Value, inc bool) {
+	if kr.hi != nil {
+		if c := val.Compare(v, *kr.hi); c > 0 || (c == 0 && inc) {
+			return
+		}
+	}
+	kr.hi, kr.hiInc = &v, inc
+}
+
+// keyRangeSel estimates the fraction of the quantifier's rows inside kr.
+func (q *Query) keyRangeSel(kr keyRange) float64 {
+	if kr.eq != nil {
+		return q.Selectivity(kr.eq)
+	}
+	if h := q.histOf(kr.col); h != nil {
+		return h.SelRange(kr.lo, kr.hi, kr.loInc, kr.hiInc)
+	}
+	sel := 1.0
+	for _, cj := range kr.conjs {
+		sel *= q.Selectivity(cj)
+	}
+	return sel
+}
+
+// indexScan builds the index range scan over kr. The lower bound is always
+// inclusive: keys equal to an exclusive bound are left to the residual
+// filter, which also covers the longer keys of a multi-column index.
+func (kr keyRange) indexScan(t *table.Table, ix *table.Index) *exec.IndexScan {
+	s := &exec.IndexScan{Table: t, Index: ix, HiInc: kr.hiInc}
+	if kr.lo != nil {
+		s.Lo = val.EncodeKey([]val.Value{*kr.lo})
+	}
+	if kr.hi != nil {
+		s.Hi = val.EncodeKey([]val.Value{*kr.hi})
+	}
+	return s
 }
 
 // joinIndex finds an index on qi whose leading columns are covered by

@@ -334,6 +334,9 @@ func EncodeKey(vals []Value) []byte {
 		case KInt, KDouble:
 			dst = append(dst, 0x01)
 			f := v.AsFloat()
+			if f == 0 {
+				f = 0 // -0 compares equal to 0, so it must encode the same
+			}
 			bits := math.Float64bits(f)
 			// Flip for total order: negative floats reverse, positives set sign.
 			if bits&(1<<63) != 0 {
